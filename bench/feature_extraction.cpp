@@ -10,9 +10,13 @@
 #include "features/incremental_profile.hpp"
 #include "features/kernels.hpp"
 #include "features/registry.hpp"
+#include "features/scoring_plan.hpp"
 #include "features/series_profile.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/aligned.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -124,6 +128,69 @@ BENCHMARK(BM_IncrementalHop)
     ->Args({1024, 16})
     ->Args({1024, 64})
     ->Args({4096, 16})
+    ->Unit(benchmark::kMicrosecond);
+
+/// One node's per-hop cost through a ScoringPlan, next to the all-columns
+/// plan (full extraction) on the same 49-metric node: arg 2 = 0 runs a
+/// selection touching 12 metrics and 40 (metric, group) pairs — the shape
+/// of the chi-square top-64 stream bundle — and 1 the full plan.  Each hop
+/// runs inside a global-pool task, as in the streaming scorer, so the
+/// per-metric parallel_for executes inline and the time is one node's
+/// serial cost (manual timing excludes the task hand-off).
+void BM_PlannedHop(benchmark::State& state) {
+  const auto window = static_cast<std::size_t>(state.range(0));
+  const auto hop = static_cast<std::size_t>(state.range(1));
+  const bool full = state.range(2) != 0;
+  const std::size_t metrics = telemetry::metric_count();
+  std::shared_ptr<const features::ScoringPlan> plan =
+      features::ScoringPlan::all_columns(metrics);
+  if (!full) {
+    // Metrics 0, 4, ..., 44; the first four read 4 groups, the rest 3.
+    const auto& groups = features::feature_groups();
+    std::vector<std::size_t> selected;
+    std::size_t pair = 0;
+    for (std::size_t i = 0; i < 12; ++i) {
+      for (std::size_t g = 0; g < (i < 4 ? 4u : 3u); ++g, ++pair) {
+        selected.push_back(4 * i * features::features_per_metric() +
+                           groups[pair % groups.size()].first);
+      }
+    }
+    plan = std::make_shared<const features::ScoringPlan>(
+        metrics, selected, std::vector<double>(selected.size(), 0.0),
+        std::vector<double>(selected.size(), 1.0));
+  }
+  features::IncrementalConfig config;
+  config.window = window;
+  config.hop = hop;
+  features::IncrementalNodeExtractor extractor({}, config, plan);
+  std::vector<double> out(plan->output_size());
+  const tensor::Matrix ribbon = make_window(window * 8, metrics, 17);
+  extractor.absorb_and_extract(ribbon.slice_rows(0, window), out);
+  std::size_t at = window;
+  auto& pool = util::ThreadPool::global();
+  for (auto _ : state) {
+    if (at + hop > ribbon.rows()) at = 0;
+    const tensor::Matrix delta = ribbon.slice_rows(at, hop);
+    double seconds = 0.0;
+    pool.submit([&] {
+          util::Timer timer;
+          extractor.absorb_and_extract(delta, out);
+          seconds = timer.elapsed_seconds();
+        })
+        .get();
+    state.SetIterationTime(seconds);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    at += hop;
+  }
+  state.counters["metrics"] = static_cast<double>(plan->metrics().size());
+  state.counters["outputs"] = static_cast<double>(plan->output_size());
+}
+BENCHMARK(BM_PlannedHop)
+    ->Args({1024, 16, 0})
+    ->Args({1024, 16, 1})
+    ->ArgNames({"W", "H", "full"})
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// The same per-hop workload through the batch path: rebuild the window

@@ -42,6 +42,24 @@ tensor::Matrix ModelBundle::transform_full(const tensor::Matrix& full_features) 
   return scaler.transform(selected);
 }
 
+std::shared_ptr<const features::ScoringPlan> ModelBundle::scoring_plan(
+    std::size_t metric_count) const {
+  const std::size_t n = metadata.selected_columns.size();
+  const auto check = [n](const char* what, std::size_t width) {
+    if (width != n) {
+      throw std::invalid_argument("ModelBundle: " + std::string(what) + " " +
+                                  std::to_string(width) + " != " +
+                                  std::to_string(n) + " selected columns");
+    }
+  };
+  check("scaler width", scaler.feature_count());
+  check("feature_names size", metadata.feature_names.size());
+  if (detector.fitted()) check("model input width", detector.vae().config().input_dim);
+  return std::make_shared<const features::ScoringPlan>(
+      metric_count, metadata.selected_columns, scaler.offsets(),
+      scaler.scales());
+}
+
 std::vector<int> ModelBundle::predict_full(const tensor::Matrix& full_features) const {
   return detector.predict(transform_full(full_features));
 }
@@ -80,6 +98,7 @@ ModelBundle ModelBundle::load(const std::string& dir) {
     util::BinaryReader reader(dir + "/metadata.bin");
     bundle.metadata = DeploymentMetadata::load(reader);
   }
+  (void)bundle.scoring_plan();  // rejects an inconsistent bundle here
   return bundle;
 }
 

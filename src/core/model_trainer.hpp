@@ -8,7 +8,9 @@
 #include "core/prodigy_detector.hpp"
 #include "features/feature_matrix.hpp"
 #include "pipeline/scaler.hpp"
+#include "telemetry/metrics.hpp"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,17 @@ struct ModelBundle {
   /// Column selection + scaling only (the model-input view of the features).
   tensor::Matrix transform_full(const tensor::Matrix& full_features) const;
 
+  /// Compiles the selection and scaler into the plan that extracts only
+  /// what the model reads from `metric_count`-wide frames.  Throws
+  /// std::invalid_argument unless every selected column lies in that
+  /// feature space and the scaler width, feature_names and the model input
+  /// width (when fitted) all match the selection size.
+  std::shared_ptr<const features::ScoringPlan> scoring_plan(
+      std::size_t metric_count = telemetry::metric_count()) const;
+
   /// Persists to `<dir>/model.bin`, `<dir>/scaler.bin`, `<dir>/metadata.bin`.
   void save(const std::string& dir) const;
+  /// Loads and rejects an inconsistent bundle (scoring_plan's checks).
   static ModelBundle load(const std::string& dir);
 };
 

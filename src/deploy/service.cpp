@@ -24,8 +24,7 @@ AnalyticsService::AnalyticsService(const DsosStore& store, core::ModelBundle bun
                                    bool explain, comte::ComteConfig explanations,
                                    std::size_t cache_capacity)
     : store_(store), bundle_mutex_(std::make_unique<std::mutex>()),
-      state_(std::make_shared<const BundleState>(
-          BundleState{std::move(bundle), next_bundle_id()})),
+      state_(make_state(std::move(bundle))),
       preprocess_(preprocess), explain_(explain),
       cache_(std::make_unique<AnalysisCache>(
           cache_capacity,
@@ -37,6 +36,13 @@ AnalyticsService::AnalyticsService(const DsosStore& store, core::ModelBundle bun
       explanations_(explanations) {}
 
 std::shared_ptr<const AnalyticsService::BundleState>
+AnalyticsService::make_state(core::ModelBundle bundle) {
+  auto plan = bundle.scoring_plan();
+  return std::make_shared<const BundleState>(
+      BundleState{std::move(bundle), next_bundle_id(), std::move(plan)});
+}
+
+std::shared_ptr<const AnalyticsService::BundleState>
 AnalyticsService::bundle_state() const {
   std::lock_guard lock(*bundle_mutex_);
   return state_;
@@ -45,8 +51,7 @@ AnalyticsService::bundle_state() const {
 std::uint64_t AnalyticsService::bundle_id() const { return bundle_state()->id; }
 
 void AnalyticsService::set_bundle(core::ModelBundle next) {
-  auto state = std::make_shared<const BundleState>(
-      BundleState{std::move(next), next_bundle_id()});
+  auto state = make_state(std::move(next));
   std::lock_guard lock(*bundle_mutex_);
   state_ = std::move(state);
   // The explainer context was built in the OLD bundle's model-input space;
@@ -114,18 +119,23 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   analysis.app = job.app;
   analysis.store_generation = generation;
 
-  // DataGenerator/DataPipeline: per-node preprocess + feature extraction,
-  // fanned out across the pool (rows written by index -> deterministic).
+  // DataGenerator/DataPipeline: per-node preprocess + planned extraction
+  // straight into the model-input rows (selected and scaled), fanned out
+  // across the pool (rows written by index -> deterministic).
   util::StageTimer features_timer("deploy.request.features", &features_s);
-  std::vector<telemetry::JobTelemetry> jobs{job};
-  const features::FeatureDataset dataset =
-      pipeline::DataPipeline::build_from_jobs(jobs, preprocess_, &pool);
+  const std::size_t node_count = job.nodes.size();
+  registry.counter("prodigy_pipeline_nodes_processed_total").increment(node_count);
+  tensor::Matrix model_input(node_count, state->plan->output_size());
+  util::parallel_for(pool, 0, node_count, [&](std::size_t i) {
+    features::extract_node_features(
+        pipeline::preprocess_node(job.nodes[i].values, preprocess_),
+        *state->plan, model_input.row(i));
+  });
   features_timer.stop();
 
-  // AnomalyDetector: column selection + scaler + model (batched, serial
-  // w.r.t. nodes so scores match the single-threaded reference exactly).
+  // AnomalyDetector: the model (batched, serial w.r.t. nodes so scores
+  // match the single-threaded reference exactly).
   util::StageTimer score_timer("deploy.request.score", &score_s);
-  const tensor::Matrix model_input = bundle.transform_full(dataset.X);
   const auto scores = bundle.detector.score(model_input);
   const double threshold = bundle.detector.threshold();
   score_timer.stop();
@@ -143,14 +153,13 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
                       bundle.metadata.feature_names, explanations_);
   }
 
-  const std::size_t node_count = dataset.size();
   analysis.nodes.resize(node_count);
   std::vector<double> node_seconds(node_count, 0.0);
   std::atomic<std::uint64_t> anomalous_nodes{0};
   util::parallel_for(pool, 0, node_count, [&](std::size_t i) {
     util::Timer node_timer;
     NodeVerdict verdict;
-    verdict.component_id = dataset.meta[i].component_id;
+    verdict.component_id = job.nodes[i].component_id;
     verdict.score = scores[i];
     verdict.threshold = threshold;
     verdict.anomalous = scores[i] > threshold;

@@ -66,7 +66,8 @@ class AnalyticsService {
   /// `store` must outlive the service.  When `explain` is true, anomalous
   /// node verdicts carry CoMTE explanations (built from the bundle's
   /// training-space data captured at train time).  `cache_capacity` bounds
-  /// the LRU result cache (0 disables it).
+  /// the LRU result cache (0 disables it).  Throws std::invalid_argument
+  /// for an inconsistent bundle (ModelBundle::scoring_plan).
   AnalyticsService(const DsosStore& store, core::ModelBundle bundle,
                    pipeline::PreprocessOptions preprocess, bool explain,
                    comte::ComteConfig explanations = {},
@@ -103,7 +104,8 @@ class AnalyticsService {
   /// the (bundle, id) pair exactly once, and the fresh process-unique id
   /// guarantees no cache entry computed by any earlier bundle is ever
   /// served afterwards.  The explainer context keeps the training-time
-  /// bundle's feature space, so swapping disables explanations.
+  /// bundle's feature space, so swapping disables explanations.  An
+  /// inconsistent bundle throws and leaves the served one in place.
   void set_bundle(core::ModelBundle next);
 
   /// Node-level analysis (paper: "job- and node-level analysis"): the
@@ -141,7 +143,9 @@ class AnalyticsService {
   struct BundleState {
     core::ModelBundle bundle;
     std::uint64_t id = 0;
+    std::shared_ptr<const features::ScoringPlan> plan;  // the bundle's
   };
+  static std::shared_ptr<const BundleState> make_state(core::ModelBundle bundle);
 
   void build_explainer_context(const features::FeatureDataset& train_data);
   std::shared_ptr<const BundleState> bundle_state() const;

@@ -6,6 +6,7 @@
 #include "util/thread_pool.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace prodigy::features {
 
@@ -60,26 +61,41 @@ std::vector<std::string> feature_column_names(
 }
 
 std::vector<double> extract_node_features(const tensor::Matrix& values) {
-  util::StageTimer stage("features.extract");
-  const std::size_t metrics = values.cols();
-  const std::size_t rows = values.rows();
-  const std::size_t per_metric = features_per_metric();
-  std::vector<double> features(metrics * per_metric, 0.0);
+  std::vector<double> features(values.cols() * features_per_metric(), 0.0);
+  extract_node_features(values, *ScoringPlan::all_columns(values.cols()),
+                        features);
+  return features;
+}
 
-  // Column-major extraction: gather each metric's series once, then run the
-  // grouped registry over it, writing features in place.  Metrics are
+void extract_node_features(const tensor::Matrix& values,
+                           const ScoringPlan& plan, std::span<double> out) {
+  util::StageTimer stage("features.extract");
+  if (values.cols() != plan.metric_count() || out.size() != plan.output_size()) {
+    throw std::invalid_argument(
+        "extract_node_features: frame width " + std::to_string(values.cols()) +
+        " / output " + std::to_string(out.size()) + " != plan's " +
+        std::to_string(plan.metric_count()) + " / " +
+        std::to_string(plan.output_size()));
+  }
+  const std::size_t rows = values.rows();
+  const auto& metrics = plan.metrics();
+
+  // Column-major extraction: gather each planned metric's series once, build
+  // the profile its groups read, and emit its outputs in place.  Metrics are
   // independent -> parallel; each worker keeps a thread-local scratch so the
   // gather/sort/FFT buffers are allocated once per thread, not per metric.
-  util::parallel_for(0, metrics, [&](std::size_t m) {
+  util::parallel_for(0, metrics.size(), [&](std::size_t i) {
     thread_local FeatureScratch scratch;
+    thread_local std::vector<double> block;
+    const ScoringPlan::Metric& metric = metrics[i];
     scratch.column.resize(rows);
-    for (std::size_t t = 0; t < rows; ++t) scratch.column[t] = values(t, m);
-    compute_all_features(
-        scratch.column,
-        std::span<double>(features.data() + m * per_metric, per_metric),
-        scratch);
+    for (std::size_t t = 0; t < rows; ++t) {
+      scratch.column[t] = values(t, metric.column);
+    }
+    block.resize(features_per_metric());
+    compute_all_features(scratch.column, block, scratch, metric.groups);
+    ScoringPlan::emit(metric, block.data(), out);
   });
-  return features;
 }
 
 FeatureDataset concat(const FeatureDataset& a, const FeatureDataset& b) {

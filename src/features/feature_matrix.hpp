@@ -4,6 +4,7 @@
 #pragma once
 
 #include "features/registry.hpp"
+#include "features/scoring_plan.hpp"
 #include "tensor/matrix.hpp"
 
 #include <cstdint>
@@ -45,6 +46,13 @@ std::vector<std::string> feature_column_names(
 /// (T x M) over the metric columns, NaN-free (run preprocessing first).
 /// Output length = M * features_per_metric(), ordered metric-major.
 std::vector<double> extract_node_features(const tensor::Matrix& values);
+
+/// The same extraction through a plan: only the plan's metrics and groups
+/// are computed, and `out` (plan.output_size() values) receives the
+/// model-input row, selected and scaled.  `values` must be
+/// plan.metric_count() columns wide (std::invalid_argument otherwise).
+void extract_node_features(const tensor::Matrix& values,
+                           const ScoringPlan& plan, std::span<double> out);
 
 /// Concatenates datasets with identical columns (rows appended in order).
 FeatureDataset concat(const FeatureDataset& a, const FeatureDataset& b);

@@ -123,6 +123,13 @@ ExtremaScan scan_extrema(std::span<const double> xs) {
 }  // namespace
 
 struct IncrementalNodeExtractor::MetricState {
+  // The plan's groups for this metric; they select the rolling parts kept.
+  // An unplanned metric (groups == 0) keeps only the raw/tainted ring.
+  // `origin` is the global index of the first row the rolling state
+  // absorbed: 0, or the ring start when a new plan seeded it.
+  GroupMask groups = 0;
+  std::uint64_t origin = 0;
+
   // Rings indexed by global row index modulo capacity.  `raw` (capacity W)
   // feeds the exact fallback; `pre` (capacity W + 1, so the retiring pair
   // is still readable) holds the streaming-cleaned value g[t]: the
@@ -202,6 +209,7 @@ struct IncrementalNodeExtractor::MetricState {
 struct IncrementalNodeExtractor::Impl {
   std::size_t cols = 0;
   IncrementalConfig config;
+  std::shared_ptr<const ScoringPlan> plan;
   std::vector<std::uint8_t> is_counter;
   bool use_sdft = false;
   // Exact twiddle table w^j, j in [0, W), planar for the kernel TU.
@@ -211,14 +219,40 @@ struct IncrementalNodeExtractor::Impl {
   std::uint64_t pushed = 0;
   std::uint64_t windows = 0;
   bool poisoned = false;
+  // Registry-owned, resolved once; bumped where the per-metric stats are.
+  util::Counter* windows_total = nullptr;
+  util::Counter* fallbacks_total = nullptr;
+  util::Counter* scheduled_total = nullptr;
+  util::Counter* drift_total = nullptr;
 
-  void init_state(MetricState& st) const {
+  /// Fresh rolling state for `groups` starting at global row `origin`; the
+  /// raw/tainted ring and the per-metric stats survive.
+  void init_state(MetricState& st, GroupMask groups, std::uint64_t origin) const {
     const std::size_t W = config.window;
-    st = MetricState();
-    st.raw.assign(W, 0.0);
-    st.pre.assign(W + 1, 0.0);
-    st.tainted.assign(W, 0);
-    st.peak_flags.assign(W, 0);
+    MetricState fresh;
+    fresh.raw = std::move(st.raw);
+    fresh.tainted = std::move(st.tainted);
+    fresh.raw.resize(W, 0.0);
+    fresh.tainted.resize(W, 0);
+    fresh.exact_fallbacks = st.exact_fallbacks;
+    fresh.scheduled_recomputes = st.scheduled_recomputes;
+    fresh.drift_recomputes = st.drift_recomputes;
+    fresh.groups = groups;
+    fresh.origin = origin;
+    if (groups != 0) fresh.pre.assign(W + 1, 0.0);
+    if ((groups & group_bit(kPeaks)) != 0) fresh.peak_flags.assign(W, 0);
+    st = std::move(fresh);
+  }
+
+  /// Seeds a metric's rolling state for `groups` from the raw ring, exactly
+  /// as a node's first window fills it.
+  void seed_state(MetricState& st, std::size_t m, GroupMask groups) {
+    const std::size_t W = config.window;
+    const std::uint64_t origin = pushed > W ? pushed - W : 0;
+    init_state(st, groups, origin);
+    for (std::uint64_t q = origin; q < pushed; ++q) {
+      push_raw(st, m, st.raw[static_cast<std::size_t>(q % W)], q);
+    }
   }
 
   void push_raw(MetricState& st, std::size_t m, double x, std::uint64_t p);
@@ -239,6 +273,7 @@ void IncrementalNodeExtractor::Impl::push_raw(MetricState& st, std::size_t m,
   const std::size_t W = config.window;
   st.raw[static_cast<std::size_t>(p % W)] = x;
   st.tainted[static_cast<std::size_t>(p % W)] = std::isfinite(x) ? 0 : 1;
+  if (st.groups == 0) return;
   if (!std::isfinite(x)) {
     if (!st.in_gap) {
       st.in_gap = true;
@@ -275,14 +310,18 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
                                                    std::uint64_t q) {
   const std::size_t W = config.window;
   double g_old = 0.0;
-  if (q >= W) {
+  if (q >= st.origin + W) {
     // Retire row q - W: read everything before this push overwrites slots.
     g_old = st.pre[static_cast<std::size_t>((q - W) % (W + 1))];
     st.sum_shift -= g_old - st.k_shift;
-    if (!st.sorted.erase(g_old)) st.needs_rebuild = true;
-    if (const int d = benford_first_digit(g_old); d != 0) {
-      --st.digit_counts[static_cast<std::size_t>(d - 1)];
-      --st.digit_counted;
+    if ((st.groups & kSortedGroups) != 0 && !st.sorted.erase(g_old)) {
+      st.needs_rebuild = true;
+    }
+    if ((st.groups & group_bit(kEntropy)) != 0) {
+      if (const int d = benford_first_digit(g_old); d != 0) {
+        --st.digit_counts[static_cast<std::size_t>(d - 1)];
+        --st.digit_counted;
+      }
     }
   }
 
@@ -299,10 +338,12 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
 
   st.pre[static_cast<std::size_t>(q % (W + 1))] = g;
   st.sum_shift += g - st.k_shift;
-  st.sorted.insert(g);
-  if (const int d = benford_first_digit(g); d != 0) {
-    ++st.digit_counts[static_cast<std::size_t>(d - 1)];
-    ++st.digit_counted;
+  if ((st.groups & kSortedGroups) != 0) st.sorted.insert(g);
+  if ((st.groups & group_bit(kEntropy)) != 0) {
+    if (const int d = benford_first_digit(g); d != 0) {
+      ++st.digit_counts[static_cast<std::size_t>(d - 1)];
+      ++st.digit_counted;
+    }
   }
 
   // Peak flags: this row is the last right-neighbour position q - s needs,
@@ -310,11 +351,11 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
   // (strictly greater than every neighbour within the support radius).
   // The pre ring (capacity W + 1) still holds all 2s + 1 rows involved
   // whenever the support is usable at all (W >= 2s + 1).
-  {
+  if ((st.groups & group_bit(kPeaks)) != 0) {
     const std::size_t cap = W + 1;
     for (std::size_t b = 0; b < kPeakSupportCount; ++b) {
       const std::size_t s = kPeakSupports[b];
-      if (W < 2 * s + 1 || q < 2 * s) continue;
+      if (W < 2 * s + 1 || q < st.origin + 2 * s) continue;
       const std::uint64_t t = q - s;
       const std::size_t tc = static_cast<std::size_t>(t % cap);
       const double centre = st.pre[tc];
@@ -334,7 +375,7 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
     }
   }
 
-  if (use_sdft && !st.sdft_resync) {
+  if (use_sdft && (st.groups & group_bit(kSpectral)) != 0 && !st.sdft_resync) {
     if (st.pending.size() >= W) {
       // Caller fell more than a full window behind; resync from the ring.
       st.sdft_resync = true;
@@ -344,7 +385,7 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
     }
   }
 
-  if (!is_counter[m]) {
+  if (!is_counter[m] && (st.groups & kExtremaGroups) != 0) {
     if (!st.extrema_valid) {
       st.extrema_valid = true;
       st.min_v = st.max_v = g;
@@ -379,16 +420,18 @@ void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
   st.k_shift = sum / static_cast<double>(W);  // re-center at the window mean
   st.sum_shift = 0.0;
   for (double g : window) st.sum_shift += g - st.k_shift;
-  st.sorted.rebuild(window);
+  if ((st.groups & kSortedGroups) != 0) st.sorted.rebuild(window);
 
-  const ExtremaScan ex = scan_extrema(window);
-  st.extrema_valid = true;
-  st.min_v = ex.min;
-  st.max_v = ex.max;
-  st.first_max = start + ex.first_max;
-  st.last_max = start + ex.last_max;
-  st.first_min = start + ex.first_min;
-  st.last_min = start + ex.last_min;
+  if ((st.groups & kExtremaGroups) != 0) {
+    const ExtremaScan ex = scan_extrema(window);
+    st.extrema_valid = true;
+    st.min_v = ex.min;
+    st.max_v = ex.max;
+    st.first_max = start + ex.first_max;
+    st.last_max = start + ex.last_max;
+    st.first_min = start + ex.first_min;
+    st.last_min = start + ex.last_min;
+  }
 
   st.sdft_resync = true;
   st.pending.clear();
@@ -458,6 +501,7 @@ void IncrementalNodeExtractor::Impl::compute_spectral(
       // only rounding noise and the exact FFT must decide the spectrum.
       fft_path = true;
       ++st.drift_recomputes;
+      drift_total->increment();
     }
   }
 
@@ -514,11 +558,12 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
     // preprocess_node) and the full profile.  Bit-identical to the batch
     // path by construction.
     ++st.exact_fallbacks;
+    fallbacks_total->increment();
     scratch.column.resize(W);
     copy_ring(st.raw, start, W, scratch.column.data());
     if (config.interpolate) linear_interpolate(scratch.column);
     if (counter) counter_to_rate_inplace(scratch.column);
-    compute_all_features(scratch.column, out, scratch);
+    compute_all_features(scratch.column, out, scratch, st.groups);
     return;
   }
 
@@ -551,16 +596,19 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   if (++st.emissions_since_rebuild >= config.recompute_interval) {
     rebuild = true;
     ++st.scheduled_recomputes;
+    scheduled_total->increment();
   } else if (std::abs(rolling_sum - sum_g) >
              config.drift_tolerance * std::max(scale, 1e-12)) {
     rebuild = true;
     ++st.drift_recomputes;
+    drift_total->increment();
   }
   if (rebuild) {
     rebuild_state(st, end);
     st.emissions_since_rebuild = 0;
   }
 
+  const GroupMask groups = st.groups;
   SeriesProfile p;
   p.xs = f;
   p.n = W;
@@ -573,12 +621,15 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   // counter-mode f[0] = f[1] substitution, so no boundary corrections are
   // needed and the result is bit-identical to the batch profile.
   p.abs_energy = energy_f;
-  p.abs_change_sum = kernels::abs_change_sum(f);
+  if ((groups & group_bit(kChanges)) != 0) {
+    p.abs_change_sum = kernels::abs_change_sum(f);
+  }
 
   // Extrema: incremental state with expiry-aware rescan (counters always
   // rescan because their f[0] differs from the tracked g[start]).
-  if (counter || !st.extrema_valid || st.first_max < start ||
-      st.first_min < start) {
+  const bool extrema = (st.groups & kExtremaGroups) != 0;
+  if (extrema && (counter || !st.extrema_valid || st.first_max < start ||
+                  st.first_min < start)) {
     const ExtremaScan ex = scan_extrema(f);
     p.min = ex.min;
     p.max = ex.max;
@@ -595,7 +646,7 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
       st.first_min = start + ex.first_min;
       st.last_min = start + ex.last_min;
     }
-  } else {
+  } else if (extrema) {
     p.min = st.min_v;
     p.max = st.max_v;
     p.first_max = static_cast<std::size_t>(st.first_max - start);
@@ -606,7 +657,7 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
 
   // Mean-relative run statistics: the batch profile's kernel (integer
   // counts, bit-exact under any vector width).
-  {
+  if ((groups & group_bit(kMeanRuns)) != 0) {
     const auto rstats = kernels::run_stats(f, p.mean);
     p.count_above = rstats.count_above;
     p.count_below = rstats.count_below;
@@ -617,16 +668,18 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
 
   // Order statistics: O(W) concatenation of the sorted chunks reproduces
   // std::sort(f) bit-exactly (plus the one-element counter swap).
-  st.sorted.copy_sorted(scratch.sorted);
-  if (counter) {
-    const auto rm = std::lower_bound(scratch.sorted.begin(),
-                                     scratch.sorted.end(), g_s);
-    scratch.sorted.erase(rm);
-    const auto at = std::lower_bound(scratch.sorted.begin(),
-                                     scratch.sorted.end(), f0);
-    scratch.sorted.insert(at, f0);
+  if ((st.groups & kSortedGroups) != 0) {
+    st.sorted.copy_sorted(scratch.sorted);
+    if (counter) {
+      const auto rm = std::lower_bound(scratch.sorted.begin(),
+                                       scratch.sorted.end(), g_s);
+      scratch.sorted.erase(rm);
+      const auto at = std::lower_bound(scratch.sorted.begin(),
+                                       scratch.sorted.end(), f0);
+      scratch.sorted.insert(at, f0);
+    }
+    p.sorted = scratch.sorted;
   }
-  p.sorted = scratch.sorted;
   p.nan_count = 0;  // untainted by definition of this path
 
   // Rolling integer window statistics.  The counts below are the exact
@@ -637,9 +690,9 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   // counts make the derived features bit-exact, so the registry skips its
   // O(support * W) peak rescans and the digit loop.
   RollingStats rs;
-  rs.has_peaks = true;
+  rs.has_peaks = (st.groups & group_bit(kPeaks)) != 0;
   const std::size_t s0 = static_cast<std::size_t>(start % W);
-  for (std::size_t b = 0; b < kPeakSupportCount; ++b) {
+  for (std::size_t b = 0; rs.has_peaks && b < kPeakSupportCount; ++b) {
     const std::size_t s = kPeakSupports[b];
     std::size_t peaks = 0;
     if (W >= 2 * s + 1) {
@@ -677,7 +730,7 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   }
   std::array<std::uint32_t, 9> digits = st.digit_counts;
   std::uint32_t counted = st.digit_counted;
-  if (counter) {
+  if (counter && (st.groups & group_bit(kEntropy)) != 0) {
     if (const int d = benford_first_digit(g_s); d != 0) {
       --digits[static_cast<std::size_t>(d - 1)];
       --counted;
@@ -687,15 +740,18 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
       ++counted;
     }
   }
-  rs.has_benford = true;
-  rs.benford = benford_correlation_from_counts(digits, counted);
+  rs.has_benford = (st.groups & group_bit(kEntropy)) != 0;
+  if (rs.has_benford) {
+    rs.benford = benford_correlation_from_counts(digits, counted);
+  }
   p.rolling = &rs;
 
-  compute_spectral(st, p, f, f0, g_s, start, end, counter, scratch);
+  if ((st.groups & group_bit(kSpectral)) != 0) {
+    compute_spectral(st, p, f, f0, g_s, start, end, counter, scratch);
+  }
+  if ((groups & group_bit(kLinearTrend)) != 0) p.trend = linear_trend(f);
 
-  p.trend = linear_trend(f);
-
-  compute_features_from_profile(p, out);
+  compute_features_from_profile(p, out, groups);
 }
 
 SpectralCostModel spectral_cost_model(std::size_t window,
@@ -740,8 +796,14 @@ IncrementalStats IncrementalNodeExtractor::Impl::sum_stats() const {
 
 IncrementalNodeExtractor::IncrementalNodeExtractor(
     std::size_t cols, std::vector<ColumnKind> kinds, IncrementalConfig config)
+    : IncrementalNodeExtractor(std::move(kinds), config,
+                               ScoringPlan::all_columns(cols)) {}
+
+IncrementalNodeExtractor::IncrementalNodeExtractor(
+    std::vector<ColumnKind> kinds, IncrementalConfig config,
+    std::shared_ptr<const ScoringPlan> plan)
     : impl_(std::make_unique<Impl>()) {
-  if (cols == 0) {
+  if (!plan || plan->metric_count() == 0) {
     throw std::invalid_argument("IncrementalNodeExtractor: cols must be > 0");
   }
   if (config.window < 2 || config.hop == 0) {
@@ -750,6 +812,7 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
   }
   if (config.recompute_interval == 0) config.recompute_interval = 1;
   Impl& im = *impl_;
+  const std::size_t cols = plan->metric_count();
   im.cols = cols;
   im.config = config;
   im.is_counter.assign(cols, 0);
@@ -771,11 +834,43 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
     }
   }
 
+  const auto counter = [](const char* what) {
+    return &util::MetricsRegistry::global().counter(
+        std::string("prodigy_features_incremental_") + what + "_total");
+  };
+  im.windows_total = counter("windows");
+  im.fallbacks_total = counter("exact_fallbacks");
+  im.scheduled_total = counter("scheduled_recomputes");
+  im.drift_total = counter("drift_recomputes");
+
   im.states.resize(cols);
-  for (auto& st : im.states) im.init_state(st);
+  im.plan = std::move(plan);
+  for (std::size_t m = 0; m < cols; ++m) {
+    const ScoringPlan::Metric* metric = im.plan->metric(m);
+    im.init_state(im.states[m], metric ? metric->groups : 0, 0);
+  }
 }
 
 IncrementalNodeExtractor::~IncrementalNodeExtractor() = default;
+
+void IncrementalNodeExtractor::set_plan(std::shared_ptr<const ScoringPlan> plan) {
+  Impl& im = *impl_;
+  if (!plan || plan->metric_count() != im.cols) {
+    throw std::invalid_argument(
+        "IncrementalNodeExtractor::set_plan: plan width differs from " +
+        std::to_string(im.cols) + " columns");
+  }
+  for (std::size_t m = 0; m < im.cols; ++m) {
+    const ScoringPlan::Metric* metric = plan->metric(m);
+    const GroupMask groups = metric ? metric->groups : 0;
+    if (groups != im.states[m].groups) im.seed_state(im.states[m], m, groups);
+  }
+  im.plan = std::move(plan);
+}
+
+const ScoringPlan& IncrementalNodeExtractor::plan() const noexcept {
+  return *impl_->plan;
+}
 
 bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
                                                   std::span<double> out) {
@@ -790,30 +885,32 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
                                 std::to_string(delta.cols()) + " != " +
                                 std::to_string(im.cols));
   }
-  const std::size_t per_metric = features_per_metric();
-  if (out.size() != im.cols * per_metric) {
+  const ScoringPlan& plan = *im.plan;
+  if (out.size() != plan.output_size()) {
     throw std::invalid_argument(
         "IncrementalNodeExtractor: bad output size");
   }
 
+  const std::size_t per_metric = features_per_metric();
   const std::size_t rows = delta.rows();
   const std::uint64_t base = im.pushed;
   const std::uint64_t end = base + rows;
   const bool emit = end >= im.config.window;
-  const IncrementalStats before = im.sum_stats();
 
   // Any exception below leaves some metrics half-absorbed; poison the
   // extractor so the caller must reset() (and refill) before continuing.
   im.poisoned = true;
   util::parallel_for(0, im.cols, [&](std::size_t m) {
     thread_local FeatureScratch scratch;
+    thread_local std::vector<double> block;
     MetricState& st = im.states[m];
     for (std::size_t r = 0; r < rows; ++r) {
       im.push_raw(st, m, delta(r, m), base + r);
     }
-    if (emit) {
-      im.extract_metric(st, m,
-                        out.subspan(m * per_metric, per_metric), scratch, end);
+    if (emit && st.groups != 0) {
+      block.resize(per_metric);
+      im.extract_metric(st, m, block, scratch, end);
+      ScoringPlan::emit(*plan.metric(m), block.data(), out);
     }
   });
   im.pushed = end;
@@ -821,29 +918,14 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
 
   if (emit) {
     ++im.windows;
-    const IncrementalStats after = im.sum_stats();
-    auto& registry = util::MetricsRegistry::global();
-    registry.counter("prodigy_features_incremental_windows_total").increment();
-    if (after.exact_fallbacks > before.exact_fallbacks) {
-      registry.counter("prodigy_features_incremental_exact_fallbacks_total")
-          .increment(after.exact_fallbacks - before.exact_fallbacks);
-    }
-    if (after.scheduled_recomputes > before.scheduled_recomputes) {
-      registry
-          .counter("prodigy_features_incremental_scheduled_recomputes_total")
-          .increment(after.scheduled_recomputes - before.scheduled_recomputes);
-    }
-    if (after.drift_recomputes > before.drift_recomputes) {
-      registry.counter("prodigy_features_incremental_drift_recomputes_total")
-          .increment(after.drift_recomputes - before.drift_recomputes);
-    }
+    im.windows_total->increment();
   }
   return emit;
 }
 
 void IncrementalNodeExtractor::reset() {
   Impl& im = *impl_;
-  for (auto& st : im.states) im.init_state(st);
+  for (auto& st : im.states) im.init_state(st, st.groups, 0);
   im.pushed = 0;
   im.poisoned = false;
 }

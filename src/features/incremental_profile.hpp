@@ -46,6 +46,7 @@
 // tests/incremental_profile_test.cpp over >= 200 consecutive hops).
 #pragma once
 
+#include "features/scoring_plan.hpp"
 #include "features/series_profile.hpp"
 #include "tensor/matrix.hpp"
 #include "util/aligned.hpp"
@@ -134,15 +135,26 @@ class SortedWindow {
   std::size_t size_ = 0;
 };
 
-/// Per-node incremental extractor: one rolling state per metric column.
-/// Thread-compatible (external synchronization; the streaming scorer calls
-/// it from one per-node task at a time) — internally the per-metric work
-/// fans out across util::parallel_for.
+/// Per-node incremental extractor: one rolling state per metric column,
+/// shaped by a ScoringPlan.  Every column keeps the raw/tainted ring; a
+/// planned metric also keeps the sum/energy drift sentinel plus only the
+/// rolling parts its groups read (sorted window: descriptive, quantiles,
+/// entropy; extrema: descriptive, extrema_location, entropy; SDFT:
+/// spectral; peak flags: peaks; Benford digits: entropy).  Thread-compatible
+/// (external synchronization; the streaming scorer calls it from one
+/// per-node task at a time) — internally the per-metric work fans out
+/// across util::parallel_for.
 class IncrementalNodeExtractor {
  public:
+  /// Full extraction: the all-columns plan over `cols` metrics.
   /// `kinds.size()` may be smaller than `cols`; extra columns are gauges.
   IncrementalNodeExtractor(std::size_t cols, std::vector<ColumnKind> kinds,
                            IncrementalConfig config);
+  /// Planned extraction over plan->metric_count() columns: emissions write
+  /// plan->output_size() model inputs.
+  IncrementalNodeExtractor(std::vector<ColumnKind> kinds,
+                           IncrementalConfig config,
+                           std::shared_ptr<const ScoringPlan> plan);
   ~IncrementalNodeExtractor();
 
   IncrementalNodeExtractor(const IncrementalNodeExtractor&) = delete;
@@ -151,11 +163,18 @@ class IncrementalNodeExtractor {
   /// Absorbs `delta` (rows x cols, time order: the rows new since the
   /// previous call — H rows in steady state, the full window for the
   /// first emission) and, if at least one full window has been absorbed,
-  /// writes all cols * features_per_metric() features for the window
-  /// ending at the last absorbed row into `out` (metric-major, same
-  /// layout as extract_node_features) and returns true.  Returns false
+  /// writes the plan's outputs for the window ending at the last absorbed
+  /// row into `out` (for the all-columns plan: every feature, metric-major,
+  /// the layout of extract_node_features) and returns true.  Returns false
   /// while the window is still filling (only after construction/reset).
   bool absorb_and_extract(const tensor::Matrix& delta, std::span<double> out);
+
+  /// Switches to another plan of the same width (a new model generation).
+  /// A metric whose groups change is seeded from the raw ring exactly as a
+  /// node's first window, so no window is skipped; metrics whose groups stay
+  /// the same keep their state bit for bit.
+  void set_plan(std::shared_ptr<const ScoringPlan> plan);
+  const ScoringPlan& plan() const noexcept;
 
   /// Drops all rolling state; the next window must be refilled from
   /// scratch.  Used by the scorer to recover from a failed absorb.

@@ -273,7 +273,15 @@ GroupBuilder build_groups() {
 }
 
 const GroupBuilder& builder() {
-  static const GroupBuilder instance = build_groups();
+  static const GroupBuilder instance = [] {
+    GroupBuilder b = build_groups();
+    if (b.groups.size() != kFeatureGroupCount ||
+        b.groups[kEntropy].name != "entropy" ||
+        b.groups[kSpectral].name != "spectral") {
+      throw std::logic_error("feature registry: FeatureGroupId out of sync");
+    }
+    return b;
+  }();
   return instance;
 }
 
@@ -286,23 +294,26 @@ const std::vector<FeatureGroup>& feature_groups() { return builder().groups; }
 std::size_t features_per_metric() { return feature_registry().size(); }
 
 void compute_features_from_profile(const SeriesProfile& profile,
-                                   std::span<double> out) {
+                                   std::span<double> out, GroupMask groups) {
   if (out.size() != features_per_metric()) {
     throw std::invalid_argument(
         "compute_features_from_profile: bad output size");
   }
-  for (const auto& group : feature_groups()) {
-    group.fn(profile, out.data() + group.first);
-  }
-  for (double& value : out) {
-    if (!std::isfinite(value)) value = 0.0;
+  const auto& all = feature_groups();
+  for (std::size_t g = 0; g < all.size(); ++g) {
+    if ((groups >> g & 1u) == 0) continue;
+    double* values = out.data() + all[g].first;
+    all[g].fn(profile, values);
+    for (std::size_t i = 0; i < all[g].count; ++i) {
+      if (!std::isfinite(values[i])) values[i] = 0.0;
+    }
   }
 }
 
 void compute_all_features(std::span<const double> series, std::span<double> out,
-                          FeatureScratch& scratch) {
-  const SeriesProfile profile = compute_series_profile(series, scratch);
-  compute_features_from_profile(profile, out);
+                          FeatureScratch& scratch, GroupMask groups) {
+  compute_features_from_profile(compute_series_profile(series, scratch, groups),
+                                out, groups);
 }
 
 std::vector<double> compute_all_features(std::span<const double> series) {

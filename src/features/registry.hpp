@@ -12,6 +12,7 @@
 // those as reference oracles).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -37,6 +38,17 @@ struct FeatureGroup {
   std::function<void(const SeriesProfile&, double* out)> fn;
 };
 
+/// Positions of the groups in feature_groups(); bit g of a GroupMask selects
+/// group g.  A ScoringPlan computes only the groups its model reads.
+enum FeatureGroupId : unsigned {
+  kDescriptive, kQuantiles, kChanges, kExtremaLocation, kMeanRuns, kPeaks,
+  kSigmaRatios, kAutocorrelation, kNonlinearity, kEntropy, kLinearTrend,
+  kSpectral, kFeatureGroupCount
+};
+using GroupMask = std::uint32_t;
+constexpr GroupMask group_bit(FeatureGroupId g) noexcept { return 1u << g; }
+inline constexpr GroupMask kAllGroups = (1u << kFeatureGroupCount) - 1;
+
 /// The fixed ordered registry (flat feature order; built once).
 const std::vector<FeatureDef>& feature_registry();
 
@@ -53,15 +65,16 @@ std::vector<double> compute_all_features(std::span<const double> series);
 
 /// Hot-path variant: writes features_per_metric() values into `out` and
 /// reuses `scratch` for the profile's sorted/FFT buffers (no allocations
-/// once the scratch has warmed up).
+/// once the scratch has warmed up).  With `groups`, only those groups are
+/// computed (and written).
 void compute_all_features(std::span<const double> series, std::span<double> out,
-                          FeatureScratch& scratch);
+                          FeatureScratch& scratch, GroupMask groups = kAllGroups);
 
-/// Evaluates the grouped extractors on an externally-built profile (the
-/// incremental extractor assembles its SeriesProfile from rolling state
-/// instead of compute_series_profile).  Applies the same non-finite -> 0
-/// clamp as compute_all_features.
+/// Evaluates the grouped extractors in `groups` on a profile built for (at
+/// least) those groups; features of other groups in `out` are left as they
+/// were.  Applies the same non-finite -> 0 clamp as compute_all_features.
 void compute_features_from_profile(const SeriesProfile& profile,
-                                   std::span<double> out);
+                                   std::span<double> out,
+                                   GroupMask groups = kAllGroups);
 
 }  // namespace prodigy::features

@@ -9,7 +9,8 @@
 namespace prodigy::features {
 
 SeriesProfile compute_series_profile(std::span<const double> xs,
-                                     FeatureScratch& scratch) {
+                                     FeatureScratch& scratch,
+                                     GroupMask groups) {
   SeriesProfile p;
   p.xs = xs;
   p.n = xs.size();
@@ -23,8 +24,8 @@ SeriesProfile compute_series_profile(std::span<const double> xs,
     p.sum = se.sum;
     p.abs_energy = se.energy;
   }
-  if (n > 0) {
-    p.mean = p.sum / static_cast<double>(n);
+  if (n > 0) p.mean = p.sum / static_cast<double>(n);
+  if (n > 0 && (groups & kExtremaGroups) != 0) {
     for (std::size_t i = 1; i < n; ++i) {
       if (xs[i] > xs[p.first_max]) p.first_max = i;
       if (xs[i] < xs[p.first_min]) p.first_min = i;
@@ -44,7 +45,7 @@ SeriesProfile compute_series_profile(std::span<const double> xs,
     p.variance = kernels::centered_sq_sum(xs, p.mean) / static_cast<double>(n);
   }
   p.stddev = std::sqrt(p.variance);
-  {
+  if ((groups & group_bit(kMeanRuns)) != 0) {
     const auto rs = kernels::run_stats(xs, p.mean);
     p.count_above = rs.count_above;
     p.count_below = rs.count_below;
@@ -54,32 +55,38 @@ SeriesProfile compute_series_profile(std::span<const double> xs,
   }
 
   // Pass 3: successive differences.
-  p.abs_change_sum = kernels::abs_change_sum(xs);
+  if ((groups & group_bit(kChanges)) != 0) {
+    p.abs_change_sum = kernels::abs_change_sum(xs);
+  }
 
   // One sort (order statistics), one FFT (spectral family), one fit (trend).
   // NaNs are excluded before sorting: std::sort on NaN violates strict weak
   // ordering (UB), and historically they sorted to the tail where the upper
   // quantiles read them.  Consumers see nan_count > 0 and propagate NaN.
-  scratch.sorted.clear();
-  scratch.sorted.reserve(xs.size());
-  for (double x : xs) {
-    if (x != x) {
-      ++p.nan_count;
-    } else {
-      scratch.sorted.push_back(x);
+  if ((groups & kSortedGroups) != 0) {
+    scratch.sorted.clear();
+    scratch.sorted.reserve(xs.size());
+    for (double x : xs) {
+      if (x != x) {
+        ++p.nan_count;
+      } else {
+        scratch.sorted.push_back(x);
+      }
     }
+    std::sort(scratch.sorted.begin(), scratch.sorted.end());
+    util::debug_assert_aligned(scratch.sorted.data());
+    p.sorted = scratch.sorted;
   }
-  std::sort(scratch.sorted.begin(), scratch.sorted.end());
-  p.sorted = scratch.sorted;
 
-  power_spectrum(xs, scratch.fft, scratch.power);
-  util::debug_assert_aligned(scratch.sorted.data());
-  util::debug_assert_aligned(scratch.fft.data());
-  util::debug_assert_aligned(scratch.power.data());
-  p.power = scratch.power;
-  p.spectral = spectral_summary_from_power(scratch.power);
+  if ((groups & group_bit(kSpectral)) != 0) {
+    power_spectrum(xs, scratch.fft, scratch.power);
+    util::debug_assert_aligned(scratch.fft.data());
+    util::debug_assert_aligned(scratch.power.data());
+    p.power = scratch.power;
+    p.spectral = spectral_summary_from_power(scratch.power);
+  }
 
-  p.trend = linear_trend(xs);
+  if ((groups & group_bit(kLinearTrend)) != 0) p.trend = linear_trend(xs);
   return p;
 }
 

@@ -14,6 +14,7 @@
 
 #include "features/extractors.hpp"
 #include "features/fft.hpp"
+#include "features/registry.hpp"
 #include "util/aligned.hpp"
 
 #include <complex>
@@ -101,9 +102,21 @@ struct SeriesProfile {
   const RollingStats* rolling = nullptr;
 };
 
-/// Builds the profile for one series, reusing the scratch buffers.  The
-/// returned profile's spans point into `xs` and `scratch`.
+/// The groups that read the sorted copy and the extrema; every other
+/// optional profile part has exactly one reader (runs: kMeanRuns, |dx| sum:
+/// kChanges, spectrum: kSpectral, trend: kLinearTrend).  Moments are always
+/// computed.
+inline constexpr GroupMask kSortedGroups =
+    group_bit(kDescriptive) | group_bit(kQuantiles) | group_bit(kEntropy);
+inline constexpr GroupMask kExtremaGroups =
+    group_bit(kDescriptive) | group_bit(kExtremaLocation) | group_bit(kEntropy);
+
+/// Builds the profile for one series, reusing the scratch buffers, with
+/// the parts the groups in `groups` read (each part's arithmetic does not
+/// depend on the mask).  The returned profile's spans point into `xs` and
+/// `scratch`.
 SeriesProfile compute_series_profile(std::span<const double> xs,
-                                     FeatureScratch& scratch);
+                                     FeatureScratch& scratch,
+                                     GroupMask groups = kAllGroups);
 
 }  // namespace prodigy::features

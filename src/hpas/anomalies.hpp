@@ -10,13 +10,18 @@
 #include "telemetry/resource_state.hpp"
 #include "util/rng.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace prodigy::hpas {
 
-enum class AnomalyKind {
+// 64-bit so that AnomalySpec has no padding between `kind` and `intensity`.
+// gtest prints a parameter that has no PrintTo as its raw bytes, and that
+// text is part of the test name: with 4 uninitialized padding bytes there,
+// the names of the Table-2 property tests changed from run to run.
+enum class AnomalyKind : std::int64_t {
   None,
   Memleak,    // -s <alloc size> -p <period scale>
   Membw,      // -s <copy block size>

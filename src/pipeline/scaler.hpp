@@ -23,6 +23,9 @@ class Scaler {
   ScalerKind kind() const noexcept { return kind_; }
   bool fitted() const noexcept { return !offset_.empty(); }
   std::size_t feature_count() const noexcept { return offset_.size(); }
+  /// Per-column affine of transform: (x - offsets()[c]) / scales()[c].
+  const std::vector<double>& offsets() const noexcept { return offset_; }
+  const std::vector<double>& scales() const noexcept { return scale_; }
 
   void fit(const tensor::Matrix& X);
   tensor::Matrix transform(const tensor::Matrix& X) const;

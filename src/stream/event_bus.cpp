@@ -6,7 +6,19 @@
 
 namespace prodigy::stream {
 
-EventBus::EventBus(EventBusConfig config) : config_(config) {
+namespace {
+util::Counter* stream_counter(const char* name) {
+  return &util::MetricsRegistry::global().counter(name);
+}
+}  // namespace
+
+EventBus::EventBus(EventBusConfig config)
+    : config_(config),
+      verdicts_total_(stream_counter("prodigy_stream_verdicts_total")),
+      transitions_total_(stream_counter("prodigy_stream_transitions_total")),
+      suppressed_total_(
+          stream_counter("prodigy_stream_debounce_suppressed_total")),
+      drift_total_(stream_counter("prodigy_stream_drift_events_total")) {
   if (config_.debounce_windows == 0) {
     throw std::invalid_argument("EventBus: debounce_windows must be > 0");
   }
@@ -41,7 +53,6 @@ void EventBus::unsubscribe(std::uint64_t id) {
 }
 
 void EventBus::publish(const VerdictEvent& event) {
-  auto& registry = util::MetricsRegistry::global();
   std::vector<std::shared_ptr<const VerdictSink>> verdict_sinks;
   std::vector<std::shared_ptr<const TransitionSink>> transition_sinks;
   TransitionEvent transition;
@@ -102,12 +113,8 @@ void EventBus::publish(const VerdictEvent& event) {
       }
     }
   }
-  registry.counter("prodigy_stream_verdicts_total").increment();
-  if (emit) {
-    registry.counter("prodigy_stream_transitions_total").increment();
-  } else {
-    registry.counter("prodigy_stream_debounce_suppressed_total").increment();
-  }
+  verdicts_total_->increment();
+  (emit ? transitions_total_ : suppressed_total_)->increment();
   // Dispatch outside the lock: sinks may be slow (stdout, network) or call
   // back into the bus.
   for (const auto& sink : verdict_sinks) (*sink)(event);
@@ -124,9 +131,7 @@ void EventBus::publish(const DriftEvent& event) {
     sinks.reserve(drift_sinks_.size());
     for (const auto& [id, sink] : drift_sinks_) sinks.push_back(sink);
   }
-  util::MetricsRegistry::global()
-      .counter("prodigy_stream_drift_events_total")
-      .increment();
+  drift_total_->increment();
   for (const auto& sink : sinks) (*sink)(event);
 }
 

@@ -20,6 +20,10 @@
 #include <string>
 #include <vector>
 
+namespace prodigy::util {
+class Counter;
+}
+
 namespace prodigy::stream {
 
 /// One scored window of one node.
@@ -127,6 +131,11 @@ class EventBus {
   };
 
   EventBusConfig config_;
+  // Registry-owned counters, resolved once at construction.
+  util::Counter* verdicts_total_;
+  util::Counter* transitions_total_;
+  util::Counter* suppressed_total_;
+  util::Counter* drift_total_;
 
   mutable std::mutex mutex_;
   std::map<std::uint64_t, std::shared_ptr<const VerdictSink>> verdict_sinks_;

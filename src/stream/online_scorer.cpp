@@ -32,9 +32,7 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
   if (config_.inference_precision) {
     bundle_.detector.set_inference_precision(*config_.inference_precision);
   }
-  kinds_.reserve(telemetry::metric_count());
   for (const auto& spec : telemetry::metric_catalog()) {
-    kinds_.push_back(spec.kind);
     col_kinds_.push_back(spec.kind == telemetry::MetricKind::Counter
                              ? features::ColumnKind::kCounter
                              : features::ColumnKind::kGauge);
@@ -51,8 +49,17 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
     extraction_ = ExtractionMode::kFullRecompute;
   }
 
+  plan_ = bundle_.scoring_plan();
+  if (config_.model_provider != nullptr) {
+    lease_plan(config_.model_provider->acquire());
+  }
+
+  auto& registry = util::MetricsRegistry::global();
+  scored_total_ = &registry.counter("prodigy_stream_windows_scored_total");
+  errors_total_ = &registry.counter("prodigy_stream_score_errors_total");
+  skipped_total_ = &registry.counter("prodigy_stream_windows_skipped_total");
+  score_seconds_ = &registry.histogram("prodigy_stream_window_score_seconds");
   if (!config_.metrics_scope.empty()) {
-    auto& registry = util::MetricsRegistry::global();
     const std::string prefix = "prodigy_stream_" + config_.metrics_scope;
     scoped_scored_ = &registry.counter(prefix + "_windows_scored_total");
     scoped_latency_ = &registry.histogram(prefix + "_window_score_seconds");
@@ -60,6 +67,16 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
 }
 
 OnlineScorer::~OnlineScorer() { drain(); }
+
+std::shared_ptr<const features::ScoringPlan> OnlineScorer::lease_plan(
+    const ModelProvider::Lease& lease) {
+  std::lock_guard lock(lease_plan_mutex_);
+  if (lease.generation != lease_generation_) {  // providers bump it per swap
+    lease_plan_ = lease.bundle->scoring_plan();
+    lease_generation_ = lease.generation;
+  }
+  return lease_plan_;
+}
 
 util::ThreadPool& OnlineScorer::pool() const noexcept {
   return config_.pool != nullptr ? *config_.pool : util::ThreadPool::global();
@@ -74,17 +91,6 @@ void OnlineScorer::on_rows(std::int64_t job_id, std::int64_t component_id,
   if (!slot) {
     slot = std::make_unique<NodeState>(job_id, component_id, config_.window,
                                        config_.hop, rows.cols());
-    if (incremental) {
-      // Safe to create here: the extractor is only touched by this node's
-      // scoring task, and no window of this node is pending yet.
-      features::IncrementalConfig inc;
-      inc.window = config_.window;
-      inc.hop = config_.hop;
-      inc.interpolate = config_.preprocess.interpolate;
-      inc.diff_counters = config_.preprocess.diff_counters;
-      slot->extractor = std::make_unique<features::IncrementalNodeExtractor>(
-          rows.cols(), col_kinds_, inc);
-    }
   }
   NodeState& node = *slot;
 
@@ -160,44 +166,49 @@ void OnlineScorer::run_node_tasks(NodeState& node) {
 void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
   util::Timer timer;
   try {
-    // Capacity-reused per worker thread: one warmed-up 1 x F buffer per
-    // scoring thread instead of a fresh heap matrix per window.
-    thread_local tensor::Matrix X;
-    if (node.extractor) {
-      thread_local std::vector<double> features;
-      features.resize(node.extractor->cols() * features::features_per_metric());
-      if (!node.extractor->absorb_and_extract(window.values, features)) {
-        // Still refilling after an error-recovery reset: the rolling state
-        // does not cover a full window yet, so no verdict can be produced.
-        windows_skipped_.fetch_add(1, std::memory_order_relaxed);
-        util::MetricsRegistry::global()
-            .counter("prodigy_stream_windows_skipped_total")
-            .increment();
-        return;
-      }
-      X.resize_for_overwrite(1, features.size());
-      X.set_row(0, features);
-    } else {
-      const tensor::Matrix prepared =
-          pipeline::preprocess_node(window.values, kinds_, config_.preprocess);
-      const std::vector<double> features =
-          features::extract_node_features(prepared);
-      X.resize_for_overwrite(1, features.size());
-      X.set_row(0, features);
-    }
-    // One lease covers the whole window: scoring, threshold, and the verdict
-    // all come from the same (bundle, generation) pair even if the provider
-    // hot-swaps concurrently.  Without a provider the owned frozen bundle is
-    // used and verdicts carry generation 0 — exactly the pre-adaptation
-    // behavior.
+    // One lease covers the whole window: the extraction plan, scoring,
+    // threshold, and the verdict all come from the same (bundle,
+    // generation) pair even if the provider hot-swaps concurrently.
+    // Without a provider the owned frozen bundle is used and verdicts carry
+    // generation 0 — exactly the pre-adaptation behavior.
     ModelProvider::Lease lease;
     const core::ModelBundle* bundle = &bundle_;
+    std::shared_ptr<const features::ScoringPlan> plan = plan_;
     if (config_.model_provider != nullptr) {
       lease = config_.model_provider->acquire();
       bundle = lease.bundle.get();
+      plan = lease_plan(lease);
     }
-    const tensor::Matrix model_input = bundle->transform_full(X);
-    const auto scores = bundle->detector.score(model_input);
+    // The plan writes the model-input row straight into a 1 x F matrix
+    // whose capacity is reused per worker thread.
+    thread_local tensor::Matrix X;
+    X.resize_for_overwrite(1, plan->output_size());
+    const std::span<double> row(X.data(), plan->output_size());
+    if (extraction_ == ExtractionMode::kIncremental) {
+      if (!node.extractor) {
+        features::IncrementalConfig inc;
+        inc.window = config_.window;
+        inc.hop = config_.hop;
+        inc.interpolate = config_.preprocess.interpolate;
+        inc.diff_counters = config_.preprocess.diff_counters;
+        node.extractor = std::make_unique<features::IncrementalNodeExtractor>(
+            col_kinds_, inc, plan);
+      } else if (&node.extractor->plan() != plan.get()) {
+        node.extractor->set_plan(plan);
+      }
+      if (!node.extractor->absorb_and_extract(window.values, row)) {
+        // Still refilling after an error-recovery reset: the rolling state
+        // does not cover a full window yet, so no verdict can be produced.
+        windows_skipped_.fetch_add(1, std::memory_order_relaxed);
+        skipped_total_->increment();
+        return;
+      }
+    } else {
+      features::extract_node_features(
+          pipeline::preprocess_node(window.values, config_.preprocess),
+          *plan, row);
+    }
+    const auto scores = bundle->detector.score(X);
 
     VerdictEvent event;
     event.job_id = node.job_id;
@@ -212,10 +223,9 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
     event.model_generation = lease.generation;
 
     windows_scored_.fetch_add(1, std::memory_order_relaxed);
-    auto& registry = util::MetricsRegistry::global();
-    registry.counter("prodigy_stream_windows_scored_total").increment();
+    scored_total_->increment();
     const double seconds = timer.elapsed_seconds();
-    registry.histogram("prodigy_stream_window_score_seconds").observe(seconds);
+    score_seconds_->observe(seconds);
     if (scoped_scored_ != nullptr) {
       scoped_scored_->increment();
       scoped_latency_->observe(seconds);
@@ -224,20 +234,18 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
     if (config_.model_provider != nullptr) {
       // Feedback after publish: the verdict is already on the wire, so even
       // a synchronous swap triggered here only affects the NEXT window.
-      config_.model_provider->on_verdict(event, model_input.row(0));
+      config_.model_provider->on_verdict(event, row);
     }
   } catch (const std::exception& e) {
     // A daemon must survive one malformed window (e.g. a frame width that
     // does not match the bundle's feature space); count it and move on.
     score_errors_.fetch_add(1, std::memory_order_relaxed);
-    util::MetricsRegistry::global()
-        .counter("prodigy_stream_score_errors_total")
-        .increment();
+    errors_total_->increment();
     util::log_warn("OnlineScorer: window ", window.span.index, " of node ",
                    node.job_id, "/", node.component_id, " failed: ", e.what());
     if (node.extractor) {
-      // The failed absorb may have left the rolling state half-updated
-      // (poisoned); drop it and refill from the next window's deltas.
+      // The failed window's rows may be missing from (or half-absorbed
+      // into) the rolling state; drop it and refill from the next deltas.
       node.extractor->reset();
     }
   }

@@ -1,8 +1,11 @@
 // Online scoring (the continuous half of the paper's Fig. 4 loop): consumes
 // flushed telemetry rows from the StreamIngestor, maintains one sliding
 // WindowState per (job, component), and scores every full window — raw
-// window -> preprocess -> extract_node_features -> ModelBundle -> verdict —
-// publishing one VerdictEvent per window to the EventBus.
+// window -> preprocess -> planned extraction -> VAE -> verdict — publishing
+// one VerdictEvent per window to the EventBus.  Extraction runs through the
+// model's ScoringPlan (features/scoring_plan.hpp): only the selected
+// features are computed, already selected and scaled, so the model-input
+// row is bit-identical to extract_node_features + ModelBundle::transform_full.
 //
 // Scoring fans out across the shared ThreadPool with *per-node ordering*:
 // each node's windows are scored and published in window order by a single
@@ -79,7 +82,9 @@ struct OnlineScorerConfig {
 
 class OnlineScorer : public RowSink {
  public:
-  /// Owns a copy of the bundle; `bus` must outlive the scorer.
+  /// Owns a copy of the bundle; `bus` must outlive the scorer.  Throws
+  /// std::invalid_argument when the bundle (or, with a provider, the
+  /// current lease's bundle) is inconsistent (ModelBundle::scoring_plan).
   OnlineScorer(core::ModelBundle bundle, EventBus& bus,
                OnlineScorerConfig config = {});
   ~OnlineScorer() override;
@@ -131,8 +136,8 @@ class OnlineScorer : public RowSink {
     const std::int64_t component_id;
     WindowState state;  // ingestor-consumer-thread only
 
-    // Created on first on_rows (cols known then); afterwards touched only
-    // by this node's single chained scoring task.  Null in full mode.
+    // Created by this node's first scoring task and touched only by its
+    // single chained task.  Null in full mode.
     std::unique_ptr<features::IncrementalNodeExtractor> extractor;
 
     std::mutex task_mutex;  // guards pending + task_active
@@ -142,18 +147,30 @@ class OnlineScorer : public RowSink {
 
   void run_node_tasks(NodeState& node);
   void score_window(NodeState& node, PendingWindow& window);
+  /// The plan of a provider lease, rebuilt when the generation changes.
+  std::shared_ptr<const features::ScoringPlan> lease_plan(
+      const ModelProvider::Lease& lease);
   util::ThreadPool& pool() const noexcept;
 
   core::ModelBundle bundle_;
   EventBus& bus_;
   OnlineScorerConfig config_;
   ExtractionMode extraction_ = ExtractionMode::kFullRecompute;
-  // Scoped per-shard instrumentation (null when metrics_scope is empty);
-  // registry-owned, resolved once so the hot path stays two atomic bumps.
+  std::shared_ptr<const features::ScoringPlan> plan_;  // the owned bundle's
+
+  std::mutex lease_plan_mutex_;  // guards the two lease-plan fields
+  std::uint64_t lease_generation_ = 0;
+  std::shared_ptr<const features::ScoringPlan> lease_plan_;
+
+  // Registry-owned instrumentation, resolved once so the hot path stays
+  // atomic bumps.  The scoped pair is null when metrics_scope is empty.
+  util::Counter* scored_total_ = nullptr;
+  util::Counter* errors_total_ = nullptr;
+  util::Counter* skipped_total_ = nullptr;
+  util::Histogram* score_seconds_ = nullptr;
   util::Counter* scoped_scored_ = nullptr;
   util::Histogram* scoped_latency_ = nullptr;
-  std::vector<telemetry::MetricKind> kinds_;
-  std::vector<features::ColumnKind> col_kinds_;  // kinds_ mapped for features
+  std::vector<features::ColumnKind> col_kinds_;  // the catalog's, for features
 
   // Touched only on the ingestor consumer thread; node addresses are stable
   // so scoring tasks can hold references across map growth.

@@ -43,13 +43,20 @@ double percentile(std::vector<double> sorted, double q) {
 
 int main(int argc, char** argv) {
   using namespace prodigy;
-  const tools::Flags flags(argc, argv);
+  constexpr const char* kUsage =
+      "usage: prodigy_predict --store FILE --model DIR "
+      "(--job ID | --all | --jobs N) [--trim S] [--concurrency K] "
+      "[--repeat R] [--cache CAP] [--precision full|bf16|int8] "
+      "[--report] [--metrics-out PATH]\n";
+  const tools::Flags flags = tools::parse_flags(
+      argc, argv,
+      {{"store", "model", "job", "jobs", "trim", "concurrency", "repeat", "cache",
+        "precision", "metrics-out"},
+       {"all", "report"}},
+      kUsage);
   if (!flags.has("store") || !flags.has("model") ||
       (!flags.has("job") && !flags.has("all") && !flags.has("jobs"))) {
-    tools::usage("usage: prodigy_predict --store FILE --model DIR "
-                 "(--job ID | --all | --jobs N) [--trim S] [--concurrency K] "
-                 "[--repeat R] [--cache CAP] [--precision full|bf16|int8] "
-                 "[--report] [--metrics-out PATH]\n");
+    tools::usage(kUsage);
   }
   util::set_log_level(util::LogLevel::Warn);
 

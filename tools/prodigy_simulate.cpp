@@ -3,7 +3,7 @@
 //   prodigy_simulate --out store.dsos [--system Eclipse|Volta]
 //                    [--scale 0.02] [--duration 300] [--seed 1]
 //                    [--metrics-out PATH]
-//   prodigy_simulate --out store.dsos --app LAMMPS --jobs 5 --nodes 4 \
+//   prodigy_simulate --out store.dsos --app LAMMPS --jobs 5 --nodes 4
 //                    [--anomaly memleak --intensity 1.0 --anomalous-nodes 1,3]
 //
 // Two modes: a whole system collection (the §5.2 ground-truth methodology,
@@ -35,11 +35,16 @@ std::vector<std::size_t> parse_node_list(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace prodigy;
-  const tools::Flags flags(argc, argv);
-  if (!flags.has("out")) {
-    tools::usage("usage: prodigy_simulate --out FILE "
-                 "[--system Eclipse|Volta --scale S | --app NAME --jobs N]\n");
-  }
+  constexpr const char* kUsage =
+      "usage: prodigy_simulate --out FILE "
+      "[--system Eclipse|Volta --scale S | --app NAME --jobs N]\n";
+  const tools::Flags flags = tools::parse_flags(
+      argc, argv,
+      {{"out", "system", "scale", "duration", "seed", "metrics-out", "app", "jobs",
+        "nodes", "first-job-id", "anomaly", "intensity", "anomalous-nodes"},
+       {}},
+      kUsage);
+  if (!flags.has("out")) tools::usage(kUsage);
   util::set_log_level(util::LogLevel::Warn);
   deploy::DsosStore store;
 

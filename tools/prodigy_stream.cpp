@@ -163,22 +163,29 @@ int verify_against_batch(const deploy::DsosStore& store,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Flags flags(argc, argv);
+  constexpr const char* kUsage =
+      "usage: prodigy_stream --model DIR [--app NAME --nodes N --duration S]\n"
+      "                      [--anomaly KIND --intensity X --anomalous-nodes 1,3]\n"
+      "                      [--drift X] [--anomaly-start F]\n"
+      "                      [--seed S] [--job-id ID] [--speed X]\n"
+      "                      [--window W --hop H --debounce K]\n"
+      "                      [--adapt] [--adapt-warmup N --adapt-lambda X\n"
+      "                       --adapt-min-refit N --adapt-epochs E --adapt-sync]\n"
+      "                      [--queue CAP --policy block|drop-oldest|drop-newest]\n"
+      "                      [--flush-rows N] [--verbose] [--verify-batch]\n"
+      "                      [--replay FILE] [--out-store FILE] [--metrics-out PATH]\n"
+      "       prodigy_stream --capture FILE [generation flags]\n";
+  const tools::Flags flags = tools::parse_flags(
+      argc, argv,
+      {{"model", "app", "nodes", "duration", "anomaly", "intensity",
+        "anomalous-nodes", "drift", "anomaly-start", "seed", "job-id", "speed",
+        "window", "hop", "debounce", "adapt-warmup", "adapt-lambda",
+        "adapt-min-refit", "adapt-epochs", "queue", "policy", "flush-rows",
+        "replay", "out-store", "metrics-out", "capture"},
+       {"adapt", "adapt-sync", "verbose", "verify-batch"}},
+      kUsage);
   const bool capture_only = flags.has("capture");
-  if (!capture_only && !flags.has("model")) {
-    tools::usage(
-        "usage: prodigy_stream --model DIR [--app NAME --nodes N --duration S]\n"
-        "                      [--anomaly KIND --intensity X --anomalous-nodes 1,3]\n"
-        "                      [--drift X] [--anomaly-start F]\n"
-        "                      [--seed S] [--job-id ID] [--speed X]\n"
-        "                      [--window W --hop H --debounce K]\n"
-        "                      [--adapt] [--adapt-warmup N --adapt-lambda X\n"
-        "                       --adapt-min-refit N --adapt-epochs E --adapt-sync]\n"
-        "                      [--queue CAP --policy block|drop-oldest|drop-newest]\n"
-        "                      [--flush-rows N] [--verbose] [--verify-batch]\n"
-        "                      [--replay FILE] [--out-store FILE] [--metrics-out PATH]\n"
-        "       prodigy_stream --capture FILE [generation flags]\n");
-  }
+  if (!capture_only && !flags.has("model")) tools::usage(kUsage);
   util::set_log_level(util::LogLevel::Warn);
 
   // --- Acquire the sample stream: replay a capture file or generate a run.

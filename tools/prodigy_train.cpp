@@ -92,7 +92,18 @@ int run_zoo(const deploy::DsosStore& store, const tools::Flags& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const tools::Flags flags(argc, argv);
+  constexpr const char* kUsage =
+      "usage: prodigy_train --store FILE --out DIR "
+      "[--features K --epochs E --batch B --lr R --trim S "
+      "--system NAME --metrics-out PATH]\n"
+      "       prodigy_train --store FILE --detector NAME [...]\n"
+      "       prodigy_train --list-detectors\n";
+  const tools::Flags flags = tools::parse_flags(
+      argc, argv,
+      {{"store", "out", "features", "epochs", "batch", "lr", "trim", "system",
+        "metrics-out", "detector", "usad-epochs"},
+       {"list-detectors"}},
+      kUsage);
   if (flags.has("list-detectors")) {
     for (const auto& name : adapt::DetectorRegistry::global().names()) {
       std::printf("%-18s %s\n", name.c_str(),
@@ -101,11 +112,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (!flags.has("store") || (!flags.has("out") && !flags.has("detector"))) {
-    tools::usage("usage: prodigy_train --store FILE --out DIR "
-                 "[--features K --epochs E --batch B --lr R --trim S "
-                 "--metrics-out PATH]\n"
-                 "       prodigy_train --store FILE --detector NAME [...]\n"
-                 "       prodigy_train --list-detectors\n");
+    tools::usage(kUsage);
   }
   util::set_log_level(util::LogLevel::Info);
 

@@ -1,32 +1,51 @@
 // Shared flag parsing for the command-line tools (same syntax as the bench
-// binaries: --name value / --name=value).
+// binaries: --name value / --name=value).  Each tool declares its flags:
+// value flags take a value, switches take none.  An undeclared flag, a
+// value flag without a value, a switch given a value, or a bare argument is
+// a usage error.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace prodigy::tools {
 
+struct FlagSpec {
+  std::set<std::string> values;    // --name VALUE or --name=VALUE
+  std::set<std::string> switches;  // --name
+};
+
 class Flags {
  public:
-  Flags(int argc, char** argv) {
+  /// Throws std::invalid_argument naming the offending argument.
+  Flags(int argc, char** argv, const FlagSpec& spec) {
     for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
+      const std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(std::move(arg));
-        continue;
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       }
-      arg = arg.substr(2);
       const auto eq = arg.find('=');
-      if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
+      const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      if (spec.switches.contains(name)) {
+        if (eq != std::string::npos) {
+          throw std::invalid_argument("--" + name + " takes no value");
+        }
+        values_[name] = "1";
+      } else if (spec.values.contains(name)) {
+        std::string value;
+        if (eq != std::string::npos) {
+          value = arg.substr(eq + 1);
+        } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+          value = argv[++i];
+        }
+        if (value.empty()) throw std::invalid_argument("--" + name + " needs a value");
+        values_[name] = std::move(value);
       } else {
-        values_[arg] = "1";
+        throw std::invalid_argument("unknown flag --" + name);
       }
     }
   }
@@ -44,16 +63,26 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   bool has(const std::string& name) const { return values_.contains(name); }
-  const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 [[noreturn]] inline void usage(const char* text) {
   std::fputs(text, stderr);
   std::exit(2);
+}
+
+/// Parses the tool's flags; on a usage error prints it and `usage_text` to
+/// stderr and exits 2.
+inline Flags parse_flags(int argc, char** argv, const FlagSpec& spec,
+                         const char* usage_text) {
+  try {
+    return Flags(argc, argv, spec);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    usage(usage_text);
+  }
 }
 
 }  // namespace prodigy::tools
